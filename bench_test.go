@@ -16,11 +16,15 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/fabrics"
+	"repro/internal/ftl/ftlcore"
 	"repro/internal/hostif"
 	"repro/internal/landscape"
 	"repro/internal/lightlsm"
 	"repro/internal/lsm"
+	"repro/internal/nand"
 	"repro/internal/netfault"
+	"repro/internal/ocssd"
+	"repro/internal/ox"
 	"repro/internal/oxblock"
 	"repro/internal/vclock"
 )
@@ -472,6 +476,110 @@ func BenchmarkPoolAcquire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Acquire(vclock.Time(i), vclock.Microsecond)
 	}
+}
+
+// --- Layer benchmarks ----------------------------------------------------
+
+// chipProgramBlocks is the size of one BenchmarkChipProgram op: that
+// many blocks on every plane, erased and then programmed page by page
+// (1536 pages, 24 MB on the default chip). An op this large keeps the
+// one-iteration timing the benchmark gate takes steady.
+const chipProgramBlocks = 16
+
+func chipProgramOp(b *testing.B, c *nand.Chip, program func(plane, blk, pg int) error) {
+	geo := c.Geometry()
+	for blk := 0; blk < chipProgramBlocks; blk++ {
+		if err := c.EraseMulti(blk); err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < geo.Planes; p++ {
+			for pg := 0; pg < geo.PagesPerBlock; pg++ {
+				if err := program(p, blk, pg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkChipProgram times the NAND program path on the default
+// geometry's chip: "random" copies a random page, "zero_scan" programs
+// an all-zero payload that the word-wise scan dedups, and "zero" is
+// the payload-free ProgramZero a pad tail takes. One untimed op first
+// puts page buffers in their recycled steady state.
+func BenchmarkChipProgram(b *testing.B) {
+	geo := ocssd.DefaultGeometry().Chip
+	random := make([]byte, geo.PageBytes())
+	rand.New(rand.NewSource(1)).Read(random)
+	zeroPage := make([]byte, geo.PageBytes())
+	for _, tc := range []struct {
+		name string
+		data []byte // nil: ProgramZero
+	}{{"random", random}, {"zero_scan", zeroPage}, {"zero", nil}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := nand.New(geo, nand.DefaultTiming(geo.Cell), nand.Reliability{}, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			program := func(p, blk, pg int) error {
+				if tc.data == nil {
+					return c.ProgramZero(p, blk, pg, nil)
+				}
+				return c.Program(p, blk, pg, tc.data, nil)
+			}
+			chipProgramOp(b, c, program)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				chipProgramOp(b, c, program)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chipProgramBlocks*geo.Planes*geo.PagesPerBlock), "ns_per_page")
+		})
+	}
+}
+
+// walSyncsPerOp is one BenchmarkWALSync op: 32 segments' worth of
+// syncs on the default geometry (a sync pads one 24-sector stripe),
+// enough to keep a one-iteration timing steady.
+const walSyncsPerOp = 512
+
+// BenchmarkWALSync times OX-Block's commit path below the FTL: a
+// one-page commit record appended with sync=true, which pads the open
+// stripe to make it durable. The log is truncated after every op so
+// segments recycle through the allocator; one untimed op first.
+func BenchmarkWALSync(b *testing.B) {
+	dev, err := ocssd.New(ocssd.DefaultGeometry(), ocssd.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl, err := ox.NewController(ox.DefaultConfig(), dev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := ftlcore.NewWAL(dev, ctrl, ftlcore.NewAllocator(dev, nil), ftlcore.WALConfig{Target: ftlcore.AnyTarget()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := ftlcore.Record{Type: ftlcore.RecTxCommit, Payload: make([]byte, 16)}
+	now := vclock.Time(0)
+	op := func() {
+		for j := 0; j < walSyncsPerOp; j++ {
+			rec.TxID++
+			if _, now, err = w.Append(now, rec, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if now, err = w.Truncate(now, w.NextLSN()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*walSyncsPerOp), "ns_per_sync")
 }
 
 // --- Ablations -----------------------------------------------------------

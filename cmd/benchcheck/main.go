@@ -30,11 +30,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// tracked are the benchmarks recorded in BENCH_baseline.json.
+// tracked are the benchmarks recorded in BENCH_baseline.json; a
+// sub-benchmark is tracked by its full name (Parent/sub).
 var tracked = []string{
 	"BenchmarkFigure5DbBench",
 	"BenchmarkFigure5DbBenchNotify",
@@ -47,6 +49,10 @@ var tracked = []string{
 	"BenchmarkOffloadGet",
 	"BenchmarkScaleSweep512",
 	"BenchmarkPoolAcquire",
+	"BenchmarkWALSync",
+	"BenchmarkChipProgram/random",
+	"BenchmarkChipProgram/zero_scan",
+	"BenchmarkChipProgram/zero",
 }
 
 type baseline struct {
@@ -167,7 +173,15 @@ func loadBaseline(path string) (baseline, error) {
 // standard testing output: "BenchmarkName-N  iters  X ns/op ... Y B/op
 // Z allocs/op" with any custom metrics in between.
 func runBenchmarks(benchtime string) (map[string]benchNums, error) {
-	pattern := "^(" + strings.Join(tracked, "|") + ")$"
+	// -bench matches each level of a name separately, so the pattern
+	// names the top-level benchmarks; their sub-benchmarks all run.
+	var top []string
+	for _, name := range tracked {
+		if parent, _, _ := strings.Cut(name, "/"); !slices.Contains(top, parent) {
+			top = append(top, parent)
+		}
+	}
+	pattern := "^(" + strings.Join(top, "|") + ")$"
 	cmd := exec.Command("go", "test", "-run", "^$",
 		"-bench", pattern, "-benchmem", "-benchtime", benchtime, ".")
 	var out bytes.Buffer

@@ -132,7 +132,7 @@ type WAL struct {
 	mu       sync.Mutex
 	segments []walSegment // in log order; last is active
 	buf      []byte       // record bytes not yet appended to media
-	unitBuf  []byte       // reusable scratch for the padded sync unit
+	unitBuf  []byte       // padded sync unit scratch; all zeros between syncs
 	zeroUnit []byte       // one ws_min unit of zeros for segment fill
 	nextLSN  LSN
 	headLSN  LSN // smallest retained LSN
@@ -273,11 +273,12 @@ func (w *WAL) appendUnit(now vclock.Time, unit []byte) (vclock.Time, error) {
 func (w *WAL) syncLocked(now vclock.Time) (vclock.Time, error) {
 	unit := w.unitBytes()
 	if len(w.buf) > 0 {
-		padded := w.unitBuf
-		n := copy(padded, w.buf)
-		clear(padded[n:])
+		// unitBuf is all zeros between syncs, so copying the tail in
+		// pads it; clearing just those bytes afterwards restores that.
+		n := copy(w.unitBuf, w.buf)
 		pad := unit - len(w.buf)
-		end, err := w.appendUnit(now, padded)
+		end, err := w.appendUnit(now, w.unitBuf)
+		clear(w.unitBuf[:n])
 		if err != nil {
 			return now, err
 		}

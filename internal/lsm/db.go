@@ -253,7 +253,11 @@ func (db *DB) rotateLocked(now vclock.Time) (vclock.Time, error) {
 	for n := imm.first(); n != nil; n = n.next[0] {
 		entries = append(entries, Entry{Key: n.key, Seq: n.seq, Value: n.value, Del: n.del})
 	}
-	metas, end, err := buildTables(db.env, clock, &sliceIterator{entries: entries}, db.opts.BloomBitsPerKey, false)
+	// The memtable holds every version of a key, newest first; keep only
+	// the newest, as compaction does. A table's block index resolves a
+	// key to one block, so versions straddling a block boundary would
+	// serve the older one.
+	metas, end, err := buildTables(db.env, clock, newDedupIterator(&sliceIterator{entries: entries}), db.opts.BloomBitsPerKey, false)
 	if err != nil {
 		return now, fmt.Errorf("lsm: flush: %w", err)
 	}

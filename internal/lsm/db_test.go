@@ -498,3 +498,63 @@ func TestMemEnvLifecycle(t *testing.T) {
 		t.Fatal("table leak")
 	}
 }
+
+// TestFlushKeepsNewestAcrossBlocks overwrites keys until their versions
+// fill several SSTable blocks of one memtable, then flushes it. The
+// block index points a lookup at the last block whose first key is ≤
+// the key, so a flush that kept every version would serve an older one;
+// both the host-side and the offloaded get must see the newest.
+func TestFlushKeepsNewestAcrossBlocks(t *testing.T) {
+	const blockSize, versions = 1024, 30
+	if versions*len(value(0)) <= 2*blockSize {
+		t.Fatal("versions must straddle a block boundary")
+	}
+	for _, offloaded := range []bool{false, true} {
+		env := NewMemEnv(blockSize, 64)
+		opts := Options{Env: env, MemtableBytes: 1 << 20}
+		if offloaded {
+			// The device-side half of an offloaded get: read the block
+			// in place and search it there.
+			opts.Lookup = func(now vclock.Time, h TableHandle, block int, k []byte) ([]byte, bool, bool, vclock.Time, error) {
+				buf := make([]byte, blockSize)
+				end, err := env.ReadBlock(now, h, block, buf)
+				if err != nil {
+					return nil, false, false, now, err
+				}
+				v, del, found := SearchBlock(buf, k)
+				return v, del, found, end, nil
+			}
+		}
+		db := testDB(t, opts)
+		now := vclock.Time(0)
+		var err error
+		for _, k := range []int{4, 5, 6, 8} {
+			for v := 0; v < versions; v++ {
+				if now, err = db.Put(now, key(k), value(k*100+v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if now, err = db.Delete(now, key(8)); err != nil {
+			t.Fatal(err)
+		}
+		if now, err = db.Flush(now); err != nil {
+			t.Fatal(err)
+		}
+		if db.Stats().Flushes == 0 {
+			t.Fatal("no flush happened")
+		}
+		for _, k := range []int{4, 5, 6} {
+			got, _, err := db.Get(now, key(k))
+			if err != nil {
+				t.Fatalf("offloaded=%v key %d: %v", offloaded, k, err)
+			}
+			if !bytes.Equal(got, value(k*100+versions-1)) {
+				t.Fatalf("offloaded=%v key %d: stale version after flush", offloaded, k)
+			}
+		}
+		if _, _, err := db.Get(now, key(8)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("offloaded=%v: deleted key resurrected by an older version: %v", offloaded, err)
+		}
+	}
+}

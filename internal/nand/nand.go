@@ -11,6 +11,7 @@
 package nand
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -316,10 +317,23 @@ func (c *Chip) WritePointer(plane, blk int) int {
 // sequential page, and the payload is exactly one page. A program
 // failure (injected) marks the block grown-bad and returns ErrProgramFail.
 func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
+	return c.program(plane, blk, pg, data, oob, false)
+}
+
+// ProgramZero programs one all-zero page without a payload: the caller
+// already knows the page is zero (a pad tail), so nothing is copied or
+// scanned. Every rule of Program applies unchanged.
+func (c *Chip) ProgramZero(plane, blk, pg int, oob []byte) error {
+	return c.program(plane, blk, pg, nil, oob, true)
+}
+
+// program is the shared body of Program and ProgramZero; zero means the
+// page is known to be all zeros and data is ignored.
+func (c *Chip) program(plane, blk, pg int, data, oob []byte, zero bool) error {
 	if err := c.checkAddr(plane, blk, pg); err != nil {
 		return err
 	}
-	if len(data) != c.geo.PageBytes() {
+	if !zero && len(data) != c.geo.PageBytes() {
 		return fmt.Errorf("%w: got %d, want %d", ErrDataSize, len(data), c.geo.PageBytes())
 	}
 	if len(oob) > c.geo.OOBPerPage {
@@ -344,7 +358,7 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 		return ErrProgramFail
 	}
 	p := &b.pages[pg]
-	if isZero(data) {
+	if zero || isZero(data) {
 		// WAL padding and chunk pads program whole zero pages; dedup
 		// them so padding never consumes simulator memory — including
 		// any buffer retained from a previous program/erase cycle.
@@ -362,9 +376,18 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	return nil
 }
 
+// isZero reports whether b is all zeros, 32 bytes per iteration as four
+// OR-ed 8-byte loads, then a word and byte tail.
 func isZero(b []byte) bool {
+	for len(b) >= 32 {
+		if binary.LittleEndian.Uint64(b)|binary.LittleEndian.Uint64(b[8:])|
+			binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:]) != 0 {
+			return false
+		}
+		b = b[32:]
+	}
 	for len(b) >= 8 {
-		if b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] != 0 {
+		if binary.LittleEndian.Uint64(b) != 0 {
 			return false
 		}
 		b = b[8:]

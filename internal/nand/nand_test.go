@@ -188,8 +188,15 @@ func TestProgramSequentialRule(t *testing.T) {
 
 func TestProgramWrongSize(t *testing.T) {
 	c := newChip(t, SLC, 1)
-	if err := c.Program(0, 0, 0, []byte{1, 2, 3}, nil); !errors.Is(err, ErrDataSize) {
-		t.Fatalf("short payload: %v, want ErrDataSize", err)
+	page := c.Geometry().PageBytes()
+	// All-zero payloads included: only ProgramZero takes no payload.
+	for _, data := range [][]byte{{1, 2, 3}, nil, make([]byte, page-1), make([]byte, page+1)} {
+		if err := c.Program(0, 0, 0, data, nil); !errors.Is(err, ErrDataSize) {
+			t.Fatalf("%d-byte payload: %v, want ErrDataSize", len(data), err)
+		}
+	}
+	if wp := c.WritePointer(0, 0); wp != 0 {
+		t.Fatalf("rejected programs moved wp to %d", wp)
 	}
 	big := make([]byte, c.Geometry().OOBPerPage+1)
 	if err := c.Program(0, 0, 0, pageData(c.Geometry(), 0), big); !errors.Is(err, ErrDataSize) {

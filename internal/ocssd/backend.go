@@ -55,9 +55,10 @@ type chunkDurable struct {
 // by mu; data writes target disjoint offsets per parallel unit and need
 // no lock of their own.
 type backendStore struct {
-	geo  Geometry
-	data *os.File
-	log  *os.File
+	geo   Geometry
+	data  *os.File
+	log   *os.File
+	zeros []byte // one stripe of zeros, the source of padded tails
 
 	mu     sync.Mutex
 	logOff int64
@@ -118,7 +119,7 @@ func openBackend(path string, geo Geometry, reset bool) (*backendStore, map[uint
 		data.Close()
 		return nil, nil, fmt.Errorf("ocssd: backend log: %w", err)
 	}
-	b := &backendStore{geo: geo, data: data, log: logF}
+	b := &backendStore{geo: geo, data: data, log: logF, zeros: make([]byte, geo.WSOpt*geo.Chip.SectorSize)}
 
 	format := func() (*backendStore, map[uint32]chunkDurable, error) {
 		if err := data.Truncate(0); err != nil {
@@ -188,17 +189,26 @@ func (b *backendStore) dataOffset(flat uint32, sector int) int64 {
 	return (int64(flat)*int64(b.geo.SectorsPerChunk()) + int64(sector)) * int64(b.geo.Chip.SectorSize)
 }
 
-// writeData persists sector bytes. A dead backend (post power-cut)
+// writeData persists n bytes at sector: the prefix p (clipped to n),
+// then zeros up to n, so a padded stripe is stored whole without its
+// zero tail ever being materialized. A dead backend (post power-cut)
 // silently drops writes: the simulated device has no power to persist.
-func (b *backendStore) writeData(flat uint32, sector int, p []byte) error {
+func (b *backendStore) writeData(flat uint32, sector int, p []byte, n int) error {
 	b.mu.Lock()
 	dead := b.dead
 	b.mu.Unlock()
 	if dead {
 		return nil
 	}
-	if _, err := b.data.WriteAt(p, b.dataOffset(flat, sector)); err != nil {
+	off := b.dataOffset(flat, sector)
+	p = p[:min(len(p), n)]
+	if _, err := b.data.WriteAt(p, off); err != nil {
 		return fmt.Errorf("ocssd: backend data write: %w", err)
+	}
+	if tail := n - len(p); tail > 0 {
+		if _, err := b.data.WriteAt(b.zeros[:tail], off+int64(len(p))); err != nil {
+			return fmt.Errorf("ocssd: backend data write: %w", err)
+		}
 	}
 	return nil
 }

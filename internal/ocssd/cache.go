@@ -1,7 +1,6 @@
 package ocssd
 
 import (
-	"container/heap"
 	"sync"
 
 	"repro/internal/vclock"
@@ -24,18 +23,46 @@ type cacheEntry struct {
 	bytes  int64
 }
 
+// entryHeap is a min-heap on freeAt. push and pop are container/heap's
+// sift-up and sift-down, typed so no entry is boxed in an interface
+// (one allocation per push and per pop). Entries with equal freeAt pop
+// in container/heap's order: which one drains first decides how many
+// bytes an admission frees, and so the virtual time it waits.
 type entryHeap []cacheEntry
 
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].freeAt < h[j].freeAt }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)        { *h = append(*h, x.(cacheEntry)) }
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *entryHeap) push(e cacheEntry) {
+	s := append(*h, e)
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].freeAt >= s[i].freeAt {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+	*h = s
+}
+
+func (h *entryHeap) pop() cacheEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].freeAt < s[j].freeAt {
+			j = j2
+		}
+		if s[j].freeAt >= s[i].freeAt {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 func newCacheTracker(capacity int64) *cacheTracker {
@@ -54,14 +81,14 @@ func (c *cacheTracker) admit(now vclock.Time, bytes int64) vclock.Time {
 	t := now
 	// Drain everything already flushed by t.
 	for len(c.entries) > 0 && c.entries[0].freeAt <= t {
-		e := heap.Pop(&c.entries).(cacheEntry)
+		e := c.entries.pop()
 		c.occupied -= e.bytes
 	}
 	// Wait for further drains until the new entry fits. An over-sized
 	// write proceeds once the cache is fully drained (occupancy may then
 	// transiently exceed capacity, as with any single huge I/O).
 	for c.occupied+bytes > c.capacity && len(c.entries) > 0 {
-		e := heap.Pop(&c.entries).(cacheEntry)
+		e := c.entries.pop()
 		c.occupied -= e.bytes
 		if e.freeAt > t {
 			t = e.freeAt
@@ -79,7 +106,7 @@ func (c *cacheTracker) occupy(freeAt vclock.Time, bytes int64) {
 	// admit already counted these bytes as occupied; the entry just
 	// records when future admissions may drain them. Every admitted byte
 	// must be covered by exactly one occupy call so holds never leak.
-	heap.Push(&c.entries, cacheEntry{freeAt: freeAt, bytes: bytes})
+	c.entries.push(cacheEntry{freeAt: freeAt, bytes: bytes})
 }
 
 // occupancy reports bytes held at the given instant (for tests).
@@ -87,7 +114,7 @@ func (c *cacheTracker) occupancy(now vclock.Time) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.entries) > 0 && c.entries[0].freeAt <= now {
-		e := heap.Pop(&c.entries).(cacheEntry)
+		e := c.entries.pop()
 		c.occupied -= e.bytes
 	}
 	return c.occupied

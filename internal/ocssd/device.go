@@ -223,10 +223,6 @@ type Device struct {
 
 	pus []puState // flat [group*PUsPerGroup + pu]
 
-	// zeroStripe is one stripe of zero bytes shared by every pad path;
-	// it is never written to.
-	zeroStripe []byte
-
 	// copyBufs recycles the staging buffers of device-side Copy.
 	copyBufs sync.Pool
 
@@ -308,7 +304,6 @@ func newDevice(geo Geometry, opts Options) (*Device, error) {
 		pus:      make([]puState, geo.Groups*geo.PUsPerGroup),
 		asyncC:   make(chan AsyncError, 1024),
 	}
-	d.zeroStripe = make([]byte, geo.WSOpt*geo.Chip.SectorSize)
 	var cacheBytes int64
 	if geo.CacheMB > 0 {
 		cacheBytes = int64(geo.CacheMB) << 20
@@ -560,8 +555,6 @@ func (d *Device) die(cur *puState) {
 			return
 		}
 		if d.opts.PowerLossProtected {
-			scratch := make([]byte, d.stripeBytes())
-			spc := d.geo.SectorsPerChunk()
 			for g := 0; g < d.geo.Groups; g++ {
 				for u := 0; u < d.geo.PUsPerGroup; u++ {
 					pu := d.pu(g, u)
@@ -574,16 +567,7 @@ func (d *Device) die(cur *puState) {
 						if m.state != ChunkOpen || len(buf) == 0 {
 							continue
 						}
-						base := d.bufBase(pu, m)
-						n := copy(scratch, buf)
-						clear(scratch[n:])
-						flat := d.flatChunk(ChunkID{g, u, c})
-						d.backend.writeData(flat, base, scratch)
-						st := ChunkOpen
-						if base+d.geo.WSOpt == spc {
-							st = ChunkClosed
-						}
-						d.backend.logState(flat, st, base+d.geo.WSOpt, int(m.wear))
+						d.persistStripe(ChunkID{g, u, c}, d.bufBase(pu, m), buf, m.wear)
 					}
 					if pu != cur {
 						pu.mu.Unlock()
@@ -595,25 +579,42 @@ func (d *Device) die(cur *puState) {
 	})
 }
 
-// dieOnProgram is a power cut landing on an in-flight stripe program.
-// With PLP the stripe completes on capacitor power; without it, at most
-// a torn prefix of the stripe's data reaches the backend — and no
-// chunk-state record, so the restored write pointer excludes it.
+// dieOnProgram is a power cut landing on an in-flight stripe program
+// (buf is its written prefix, the rest is zero padding). With PLP the
+// stripe completes on capacitor power; without it, at most a torn
+// prefix of the stripe reaches the backend — and no chunk-state record,
+// so the restored write pointer excludes it. Either way the stripe has
+// left the controller buffer, so die's PLP flush skips the chunk.
 func (d *Device) dieOnProgram(pu *puState, id ChunkID, baseSector int, buf []byte, torn int) {
+	m := &pu.chunks[id.Chunk]
 	if d.backend != nil {
-		flat := d.flatChunk(id)
 		if d.opts.PowerLossProtected {
-			d.backend.writeData(flat, baseSector, buf)
-			st := ChunkOpen
-			if baseSector+d.geo.WSOpt == d.geo.SectorsPerChunk() {
-				st = ChunkClosed
-			}
-			d.backend.logState(flat, st, baseSector+d.geo.WSOpt, int(pu.chunks[id.Chunk].wear))
+			d.persistStripe(id, baseSector, buf, m.wear)
 		} else if torn > 0 {
-			d.backend.writeData(flat, baseSector, buf[:torn*d.geo.Chip.SectorSize])
+			d.backend.writeData(d.flatChunk(id), baseSector, buf, torn*d.geo.Chip.SectorSize)
 		}
 	}
+	if m.bufSlot >= 0 {
+		pu.bufs[m.bufSlot] = pu.bufs[m.bufSlot][:0]
+	}
 	d.die(pu)
+}
+
+// persistStripe writes one stripe — its written prefix, then zeros to
+// the stripe's end — and the chunk-state record that covers it to the
+// durable backend. Data goes first: a cut between the two leaves the
+// durable write pointer at the previous record, which covers only
+// fully persisted data.
+func (d *Device) persistStripe(id ChunkID, baseSector int, prefix []byte, wear int32) error {
+	flat := d.flatChunk(id)
+	if err := d.backend.writeData(flat, baseSector, prefix, d.stripeBytes()); err != nil {
+		return err
+	}
+	st := ChunkOpen
+	if baseSector+d.geo.WSOpt == d.geo.SectorsPerChunk() {
+		st = ChunkClosed
+	}
+	return d.backend.logState(flat, st, baseSector+d.geo.WSOpt, int(wear))
 }
 
 // Close releases the durable backend's file handles (no-op in-memory).
@@ -661,10 +662,13 @@ func (d *Device) Report() []ChunkInfo {
 // stripeBytes is the size of one ws_opt stripe in bytes.
 func (d *Device) stripeBytes() int { return d.geo.WSOpt * d.geo.Chip.SectorSize }
 
-// programStripe writes one complete wordline stripe (ws_opt sectors,
-// already assembled in buf) to NAND and accounts its virtual timing.
-// The caller holds the PU lock. It returns the virtual completion
-// instant.
+// programStripe writes one wordline stripe (ws_opt sectors) to NAND and
+// accounts its virtual timing. buf holds the stripe's written prefix;
+// the rest of the stripe is zero padding that is never materialized:
+// pages past the prefix are programmed as zero pages. Writes come in
+// ws_min units, which Validate pins to one page, so the prefix always
+// ends on a page boundary. The caller holds the PU lock. It returns the
+// virtual completion instant.
 func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSector int, buf []byte) (vclock.Time, error) {
 	geo := d.geo
 	chip := d.chips[id.Group][id.PU]
@@ -672,9 +676,10 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	spp := geo.Chip.SectorsPerPage
 	pageBytes := geo.Chip.PageBytes()
 
-	// Timing: the whole stripe crosses the channel bus once, then the
-	// chip programs bits paired pages (planes program in parallel).
-	_, xferEnd := d.channels[id.Group].Acquire(at, vclock.DurationFor(int64(len(buf)), geo.ChannelMBps))
+	// Timing: the whole stripe, padding included, crosses the channel
+	// bus once, then the chip programs bits paired pages (planes program
+	// in parallel).
+	_, xferEnd := d.channels[id.Group].Acquire(at, vclock.DurationFor(int64(d.stripeBytes()), geo.ChannelMBps))
 	var progDur vclock.Duration
 	firstPage := geo.locate(baseSector).page
 	for b := 0; b < bits; b++ {
@@ -700,26 +705,21 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 		for b := 0; b < bits; b++ {
 			off := (p*bits + b) * spp * geo.Chip.SectorSize
 			page := firstPage + b
-			if err := chip.Program(p, id.Chunk, page, buf[off:off+pageBytes], nil); err != nil {
+			var err error
+			if off < len(buf) {
+				err = chip.Program(p, id.Chunk, page, buf[off:off+pageBytes], nil)
+			} else {
+				err = chip.ProgramZero(p, id.Chunk, page, nil)
+			}
+			if err != nil {
 				d.retireChunk(pu, id, err)
 				return progEnd, fmt.Errorf("program %v: %w", id, err)
 			}
 		}
 	}
 	m := &pu.chunks[id.Chunk]
-	// Persist the programmed stripe and its state transition. Data goes
-	// first: a cut between the two leaves the durable write pointer at
-	// the previous record, which covers only fully persisted data.
 	if d.backend != nil {
-		flat := d.flatChunk(id)
-		if err := d.backend.writeData(flat, baseSector, buf); err != nil {
-			return progEnd, err
-		}
-		st := ChunkOpen
-		if baseSector+geo.WSOpt == geo.SectorsPerChunk() {
-			st = ChunkClosed
-		}
-		if err := d.backend.logState(flat, st, baseSector+geo.WSOpt, int(m.wear)); err != nil {
+		if err := d.persistStripe(id, baseSector, buf, m.wear); err != nil {
 			return progEnd, err
 		}
 	}
@@ -729,13 +729,14 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	return progEnd, nil
 }
 
-// writeChunk appends n sectors of data to a chunk at its write pointer.
+// writeChunk appends data to a chunk at its write pointer; with pad it
+// then completes the open stripe with zero sectors (Pad), which are
+// charged like written bytes but never copied into the stripe buffer.
 // The caller holds the PU lock. Returns the client-visible completion
 // time.
-func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte) (vclock.Time, error) {
+func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte, pad bool) (vclock.Time, error) {
 	geo := d.geo
 	m := &pu.chunks[id.Chunk]
-	n := len(data) / geo.Chip.SectorSize
 
 	switch m.state {
 	case ChunkOffline:
@@ -754,6 +755,13 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 		// stripe-buffer slot.
 		m.bufSlot = pu.getSlot(d.stripeBytes())
 	}
+	stripe := d.stripeBytes()
+	slot := m.bufSlot
+	zeros := 0
+	if r := (len(pu.bufs[slot]) + len(data)) % stripe; pad && r != 0 {
+		zeros = stripe - r
+	}
+	n := (len(data) + zeros) / geo.Chip.SectorSize
 	if sector != int(m.wp) {
 		return now, fmt.Errorf("%w: %v sector %d, wp %d", ErrWritePointer, id, sector, m.wp)
 	}
@@ -766,26 +774,28 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 	// waits for every stripe program it completes.
 	completeAt := now
 	if d.cache.enabled() {
-		completeAt = d.cache.admit(now, int64(len(data)))
+		completeAt = d.cache.admit(now, int64(n*geo.Chip.SectorSize))
 	}
-	copyDur := vclock.DurationFor(int64(len(data)), geo.CacheMBps)
+	copyDur := vclock.DurationFor(int64(n*geo.Chip.SectorSize), geo.CacheMBps)
 	completeAt = completeAt.Add(copyDur)
 
-	stripe := d.stripeBytes()
-	slot := m.bufSlot
 	var lastProg vclock.Time
-	for len(data) > 0 {
+	for len(data) > 0 || zeros > 0 {
 		room := stripe - len(pu.bufs[slot])
-		take := len(data)
-		if take > room {
-			take = room
-		}
+		take := min(len(data), room)
 		pu.bufs[slot] = append(pu.bufs[slot], data[:take]...)
 		data = data[take:]
+		fill := len(pu.bufs[slot])
+		if len(data) == 0 {
+			// The zero tail completes this stripe by count alone.
+			take += zeros
+			fill += zeros
+			zeros = 0
+		}
 		m.wp += int32(take / geo.Chip.SectorSize)
-		if len(pu.bufs[slot]) == stripe {
-			// The buffer holds a full stripe, so its base is exactly one
-			// stripe behind the (already advanced) write pointer.
+		if fill == stripe {
+			// The stripe is complete, so its base is exactly one stripe
+			// behind the (already advanced) write pointer.
 			progEnd, err := d.programStripe(completeAt, pu, id, int(m.wp)-geo.WSOpt, pu.bufs[slot])
 			if err != nil {
 				return completeAt, err
@@ -852,7 +862,7 @@ func (d *Device) VectorWrite(now vclock.Time, ppas []PPA, data []byte) (vclock.T
 		sz := geo.Chip.SectorSize
 		pu := d.pu(ppas[i].Group, ppas[i].PU)
 		pu.mu.Lock()
-		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz])
+		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz], false)
 		pu.mu.Unlock()
 		if err != nil {
 			return now, err
@@ -883,7 +893,7 @@ func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.T
 	pu := d.pu(id.Group, id.PU)
 	pu.mu.Lock()
 	start := int(pu.chunks[id.Chunk].wp)
-	end, err := d.writeChunk(now, pu, id, start, data)
+	end, err := d.writeChunk(now, pu, id, start, data, false)
 	pu.mu.Unlock()
 	if err != nil {
 		return 0, now, err
@@ -912,9 +922,8 @@ func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	if m.state != ChunkOpen || len(pu.buffered(m)) == 0 {
 		return now, nil // nothing buffered: already durable
 	}
-	padBytes := d.stripeBytes() - len(pu.buffered(m))
-	padSectors := padBytes / geo.Chip.SectorSize
-	end, err := d.writeChunk(now, pu, id, int(m.wp), d.zeroStripe[:padBytes])
+	padSectors := geo.WSOpt - len(pu.buffered(m))/geo.Chip.SectorSize
+	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, true)
 	if err != nil {
 		return now, err
 	}
@@ -1208,12 +1217,10 @@ func (d *Device) Crash() {
 				base := d.bufBase(pu, m)
 				if d.opts.PowerLossProtected {
 					// Capacitors flush the partial stripe with padding.
-					padBytes := d.stripeBytes() - len(buffered)
-					buf := append(buffered, d.zeroStripe[:padBytes]...)
-					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buf); err == nil {
+					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buffered); err == nil {
 						m.wp = int32(base + d.geo.WSOpt)
 					}
-					d.stats.padSectors.Add(int64(padBytes / d.geo.Chip.SectorSize))
+					d.stats.padSectors.Add(int64(d.geo.WSOpt - len(buffered)/d.geo.Chip.SectorSize))
 				} else {
 					// Buffered sectors vanish: the write pointer retreats.
 					m.wp = int32(base)

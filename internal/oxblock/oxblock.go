@@ -144,6 +144,10 @@ type Device struct {
 	gcEnd    vclock.Time // virtual completion of the background collector
 	stats    Stats
 	offl     *offload.Engine
+	// padBuf and payload are Write's scratch: the ws_min-padded data of
+	// a sub-ws_min write and the commit record payload. Guarded by mu.
+	padBuf  []byte
+	payload []byte
 }
 
 // ckptSlots picks the reserved checkpoint chunks deterministically: slot
@@ -396,8 +400,12 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	// map only the real pages.
 	padded := data
 	if rem := pages % d.geo.WSMin; rem != 0 {
-		padded = make([]byte, (pages+d.geo.WSMin-rem)*secSize)
-		copy(padded, data)
+		n := (pages + d.geo.WSMin - rem) * secSize
+		if cap(d.padBuf) < n {
+			d.padBuf = make([]byte, n)
+		}
+		padded = d.padBuf[:n]
+		clear(padded[copy(padded, data):])
 	}
 	ppas, end, err := d.writer.Append(now, padded)
 	if err != nil {
@@ -406,7 +414,10 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	d.noteAppIOs(ppas, now)
 
 	// Mapping updates + commit record payload.
-	payload := make([]byte, pages*16)
+	if cap(d.payload) < pages*16 {
+		d.payload = make([]byte, MaxTxPages*16)
+	}
+	payload := d.payload[:pages*16]
 	for i := 0; i < pages; i++ {
 		old, had, err := d.pmap.Update(lpn+int64(i), ppas[i])
 		if err != nil {
